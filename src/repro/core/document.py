@@ -104,11 +104,11 @@ class Document:
         :class:`repro.storage.LazyDecodedFile` when only the text (or a
         read-only :class:`~repro.history.History`) is needed.
         """
-        from ..storage.container import _graph_to_remote_events, decode_file
+        from ..storage.container import decode_file, graph_to_remote_events
 
         document = cls(agent, **options)  # type: ignore[arg-type]
         decoded = decode_file(data)
-        document.apply_remote_events(_graph_to_remote_events(decoded.graph))
+        document.apply_remote_events(graph_to_remote_events(decoded.graph))
         return document
 
     # ------------------------------------------------------------------

@@ -43,12 +43,16 @@ from typing import TYPE_CHECKING, Iterable
 from ..core.ids import EventId, delete_op, insert_op
 from ..core.oplog import RemoteEvent
 from ..network.causal_broadcast import CausalBuffer
-from ..storage.container import ContainerOptions, decode_file, encode_event_graph_v3
+from ..storage.container import (
+    ContainerOptions,
+    decode_file,
+    encode_event_graph_v3,
+    graph_to_remote_events,
+)
 from ..storage.varint import ByteReader, ByteWriter, decode_uvarint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (Document imports rope etc.)
     from ..core.document import Document
-    from ..core.event_graph import EventGraph
 
 __all__ = [
     "DurabilityOptions",
@@ -483,18 +487,6 @@ class RoomStorage:
 # ----------------------------------------------------------------------
 # Recovery
 # ----------------------------------------------------------------------
-def graph_to_remote_events(graph: "EventGraph") -> list[RemoteEvent]:
-    """A decoded event graph as portable events (id-based parents)."""
-    return [
-        RemoteEvent(
-            id=event.id,
-            parents=tuple(graph.dependency_id(p) for p in event.parents),
-            op=event.op,
-        )
-        for event in graph.events()
-    ]
-
-
 def recover_document(
     directory: str,
     agent: str,

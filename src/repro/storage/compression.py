@@ -1,92 +1,34 @@
-"""A small self-contained LZ-style byte compressor.
+"""Column compression: stdlib :mod:`zlib` (DEFLATE) at one fixed level.
 
 The paper's storage format LZ4-compresses the concatenated inserted text
-(§3.8).  LZ4 is not available offline, so this module implements a compact
-LZ77 variant with the same flavour: a token stream of literal runs and
-back-references (offset, length) found with a rolling hash table.  It is not
-meant to compete with LZ4 on speed, only to provide a realistic "compression
-enabled" mode; the file-size benchmarks disable compression by default,
-mirroring the paper (which disables LZ4/gzip for the like-for-like
-comparison in §4.5).
+(§3.8).  The v3 container compresses every column block independently with
+zlib — what per-column formats usually do — and stores a block raw whenever
+compression does not shrink it.  The level is fixed so encoding stays
+deterministic (the golden corpus pins the bytes).
 """
 
 from __future__ import annotations
 
-from .varint import ByteReader, ByteWriter
+import zlib
 
 __all__ = ["compress", "decompress"]
 
-_MIN_MATCH = 4
-_MAX_MATCH = 255 + _MIN_MATCH
-_WINDOW = 1 << 16
+_LEVEL = 9
 
 
 def compress(data: bytes) -> bytes:
     """Compress ``data``; the result always round-trips through :func:`decompress`."""
-    writer = ByteWriter()
-    writer.write_uvarint(len(data))
-    table: dict[bytes, int] = {}
-    i = 0
-    literal_start = 0
-    n = len(data)
-    while i < n:
-        match_len = 0
-        match_offset = 0
-        if i + _MIN_MATCH <= n:
-            key = data[i : i + _MIN_MATCH]
-            candidate = table.get(key)
-            if candidate is not None and i - candidate <= _WINDOW:
-                length = _MIN_MATCH
-                max_len = min(_MAX_MATCH, n - i)
-                while length < max_len and data[candidate + length] == data[i + length]:
-                    length += 1
-                match_len = length
-                match_offset = i - candidate
-            table[key] = i
-        if match_len >= _MIN_MATCH:
-            literal = data[literal_start:i]
-            _emit(writer, literal, match_offset, match_len)
-            # Index a few positions inside the match so later data can refer
-            # back into it (coarse, but keeps compression reasonable).
-            end = i + match_len
-            step = max(1, match_len // 8)
-            for j in range(i + 1, min(end, n - _MIN_MATCH), step):
-                table[data[j : j + _MIN_MATCH]] = j
-            i = end
-            literal_start = i
-        else:
-            i += 1
-    if literal_start < n or n == 0:
-        _emit(writer, data[literal_start:], 0, 0)
-    return writer.getvalue()
-
-
-def _emit(writer: ByteWriter, literal: bytes, offset: int, length: int) -> None:
-    writer.write_uvarint(len(literal))
-    writer.write_bytes(literal)
-    writer.write_uvarint(offset)
-    if offset:
-        writer.write_uvarint(length - _MIN_MATCH)
+    return zlib.compress(data, _LEVEL)
 
 
 def decompress(data: bytes) -> bytes:
-    """Inverse of :func:`compress`."""
-    reader = ByteReader(data)
-    expected = reader.read_uvarint()
-    out = bytearray()
-    while len(out) < expected or (expected == 0 and not reader.at_end()):
-        literal_len = reader.read_uvarint()
-        out.extend(reader.read_bytes(literal_len))
-        offset = reader.read_uvarint()
-        if offset:
-            length = reader.read_uvarint() + _MIN_MATCH
-            start = len(out) - offset
-            if start < 0:
-                raise ValueError("corrupt compressed stream: bad offset")
-            for k in range(length):
-                out.append(out[start + k])
-        if expected == 0:
-            break
-    if len(out) != expected:
-        raise ValueError("corrupt compressed stream: length mismatch")
-    return bytes(out)
+    """Inverse of :func:`compress`; raises :class:`ValueError` on a corrupt,
+    truncated or over-long stream."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(data)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt compressed stream: {exc}") from exc
+    if not inflater.eof or inflater.unused_data:
+        raise ValueError("corrupt compressed stream: truncated or trailing bytes")
+    return out

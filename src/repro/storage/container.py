@@ -5,7 +5,10 @@ column-oriented form, but the columns are length-prefixed and *interleaved* in
 one stream: a reader must walk past every earlier column to reach a later one,
 so a cold load pays for the whole file before the first byte of text renders.
 
-Version 3 re-layouts the same columns as a **random-access container**::
+Version 3 re-layouts the same columns as a **random-access container** (the
+header's version field reads 4 since column blocks switched to zlib; files
+written with the earlier hand-rolled compressor fail as
+``unsupported-version``)::
 
     +------+---------+-------+------------+-------------+
     | EGW3 | version | flags | num_events | num_columns |
@@ -19,8 +22,8 @@ Version 3 re-layouts the same columns as a **random-access container**::
     | column blocks, contiguous, in table order         |
     +---------------------------------------------------+
 
-Each column block is independently compressed (the repo's LZ77, stored raw
-when compression does not help) and CRC-framed, so a reader can
+Each column block is independently zlib-compressed (stored raw when
+compression does not help) and CRC-framed, so a reader can
 
 * **selectively read** just the columns it needs — :func:`decode_text`
   reconstructs the current document text from the snapshot column (or, for
@@ -40,7 +43,10 @@ entries), which keeps the format extensible: a future writer can add, say, a
 formatting-spans column without breaking old readers.
 
 Version 2 files remain readable through :func:`decode_file`, which sniffs the
-magic and dispatches; v2 is now a read-only legacy format.
+magic and dispatches; v2 is now a read-only legacy format.  Both formats share
+one set of column codecs and one graph builder
+(:func:`repro.storage.encoder.build_graph`), so they apply the same
+consistency checks.
 """
 
 from __future__ import annotations
@@ -50,24 +56,26 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from ..core.event_graph import EventGraph
-from ..core.ids import EventId, OpKind, delete_op, insert_op
+from ..core.ids import OpKind
+from ..core.oplog import RemoteEvent
 from . import compression
 from .encoder import (
     DecodedFile,
-    EncodeOptions,
+    _decode_agents,
+    _decode_id_runs,
     _decode_ops_column,
     _decode_parents_column,
+    _encode_agent_and_id_columns,
     _encode_content_column,
     _encode_ops_column,
     _encode_parents_column,
-    _fill_pruned_content,
+    build_graph,
     decode_event_graph,
 )
 from .varint import ByteReader, ByteWriter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..core.document import Document
-    from ..core.oplog import RemoteEvent
     from ..history.history import History
 
 __all__ = [
@@ -84,12 +92,15 @@ __all__ = [
     "decode_file",
     "decode_text",
     "encode_event_graph_v3",
+    "graph_to_remote_events",
     "parse_header",
 ]
 
 MAGIC_V2 = b"EGWK"
 MAGIC_V3 = b"EGW3"
-_FORMAT_VERSION = 3
+#: 4: zlib column blocks.  3 (the earlier hand-rolled LZ77 blocks) is no
+#: longer accepted.
+_FORMAT_VERSION = 4
 
 #: File-level flags (column-level concerns like compression live per column).
 _FLAG_PRUNED = 1
@@ -153,12 +164,15 @@ class ContainerOptions:
     """Options controlling the v3 on-disk representation.
 
     Attributes:
-        compress_columns: LZ-compress each column independently, storing the
-            raw bytes whenever compression does not shrink them.  On by
+        compress_columns: zlib-compress each column independently, storing
+            the raw bytes whenever compression does not shrink them.  On by
             default — same-typed columns compress far better than v2's
             interleaved rows, which is where "v3 ≤ v2" comes from.
         prune_deleted_content: omit the text of deleted characters (Figure 12
             mode); the graph structure is kept, so merging still works.
+            Which characters survive comes from one walker replay
+            (:func:`repro.storage.encoder.kept_spans`), on encode and again
+            on decode.
         include_snapshot: store the final document text as its own column so
             text loads never replay anything.
         final_text: the final document text (required with
@@ -259,11 +273,10 @@ def encode_event_graph_v3(
     if options.include_snapshot and options.final_text is None:
         raise ValueError("include_snapshot requires final_text")
 
-    legacy = EncodeOptions(prune_deleted_content=options.prune_deleted_content)
     agents_col, ids_col = _encode_agent_and_id_columns(graph)
     payloads: list[tuple[int, bytes]] = [
         (COL_OPS, _encode_ops_column(graph)),
-        (COL_CONTENT, _encode_content_column(graph, legacy)),
+        (COL_CONTENT, _encode_content_column(graph, options.prune_deleted_content)),
         (COL_PARENTS, _encode_parents_column(graph)),
         (COL_AGENTS, agents_col),
         (COL_IDS, ids_col),
@@ -307,40 +320,6 @@ def encode_event_graph_v3(
     for _, _, stored, _ in blocks:
         out.write_bytes(stored)
     return out.getvalue()
-
-
-def _encode_agent_and_id_columns(graph: EventGraph) -> tuple[bytes, bytes]:
-    """v2's combined ids column, split in two: the agent name table and the
-    ``(agent_index, first_seq, char_count)`` runs (one run can span many
-    consecutive events by the same agent)."""
-    runs: list[tuple[str, int, int]] = []
-    for event in graph.events():
-        agent, seq = event.id
-        length = event.op.length
-        if runs and runs[-1][0] == agent and runs[-1][1] + runs[-1][2] == seq:
-            runs[-1] = (agent, runs[-1][1], runs[-1][2] + length)
-        else:
-            runs.append((agent, seq, length))
-
-    agents: list[str] = []
-    agent_index: dict[str, int] = {}
-    for agent, _, _ in runs:
-        if agent not in agent_index:
-            agent_index[agent] = len(agents)
-            agents.append(agent)
-
-    agents_writer = ByteWriter()
-    agents_writer.write_uvarint(len(agents))
-    for agent in agents:
-        agents_writer.write_string(agent)
-
-    ids_writer = ByteWriter()
-    ids_writer.write_uvarint(len(runs))
-    for agent, start_seq, count in runs:
-        ids_writer.write_uvarint(agent_index[agent])
-        ids_writer.write_uvarint(start_seq)
-        ids_writer.write_uvarint(count)
-    return agents_writer.getvalue(), ids_writer.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -674,7 +653,7 @@ class LazyDecodedFile:
             from ..core.document import Document
 
             document = Document("storage-reader")
-            document.apply_remote_events(_graph_to_remote_events(self.graph))
+            document.apply_remote_events(graph_to_remote_events(self.graph))
             self._text = document.text
         return self._text
 
@@ -709,56 +688,30 @@ class LazyDecodedFile:
         from ..core.document import Document
 
         document = Document(agent)
-        document.apply_remote_events(_graph_to_remote_events(self.graph))
+        document.apply_remote_events(graph_to_remote_events(self.graph))
         return document
 
     def _hydrate(self) -> EventGraph:
         self.stats.hydrations += 1
-        num_events = self.num_events
         ops = self._decode_ops()
         try:
-            parents = _decode_parents_column(
-                self.column_payload(COL_PARENTS), num_events
-            )
-            lengths = [length for _, _, length in ops]
-            ids = _decode_id_columns(
-                self.column_payload(COL_AGENTS),
-                self.column_payload(COL_IDS),
-                lengths,
+            parents_col = self.column_payload(COL_PARENTS)
+            agents_reader = ByteReader(self.column_payload(COL_AGENTS))
+            agents = _decode_agents(agents_reader)
+            if not agents_reader.at_end():
+                raise ValueError("agents column has trailing bytes")
+            graph = build_graph(
+                ops,
+                _decode_parents_column(parents_col, self.num_events),
+                _decode_id_runs(ByteReader(self.column_payload(COL_IDS)), agents, ops),
+                self.column_payload(COL_CONTENT).decode("utf-8"),
+                self.pruned,
             )
         except StorageError:
             raise
         except ValueError as exc:
             raise StorageError("column-decode", str(exc)) from exc
-
-        content = self.column_payload(COL_CONTENT).decode("utf-8")
-        from .encoder import PRUNED_CHAR
-
-        graph = EventGraph()
-        content_pos = 0
-        for index in range(num_events):
-            kind, pos, length = ops[index]
-            if kind is OpKind.INSERT:
-                if self.pruned:
-                    graph_text = PRUNED_CHAR * length
-                else:
-                    graph_text = content[content_pos : content_pos + length]
-                    content_pos += length
-                op = insert_op(pos, graph_text)
-            else:
-                op = delete_op(pos, length)
-            try:
-                graph.add_event(ids[index], parents[index], op, parents_are_indices=True)
-            except ValueError as exc:
-                raise StorageError("column-decode", str(exc)) from exc
-            self.stats.events_materialised += 1
-        if not self.pruned and content_pos != len(content):
-            raise StorageError(
-                "column-decode",
-                f"content column has {len(content)} chars, events consume {content_pos}",
-            )
-        if self.pruned:
-            _fill_pruned_content(graph, content)
+        self.stats.events_materialised += len(graph)
         return graph
 
 
@@ -770,51 +723,12 @@ def _parents_exception_count(payload: bytes) -> int:
         raise StorageError("column-decode", f"parents column: {exc}") from exc
 
 
-def _decode_id_columns(
-    agents_payload: bytes, ids_payload: bytes, lengths: list[int]
-) -> list[EventId]:
-    """Slice the id runs back into per-event start ids using event lengths."""
-    agents_reader = ByteReader(agents_payload)
-    agent_count = agents_reader.read_uvarint()
-    agents = [agents_reader.read_string() for _ in range(agent_count)]
-    if not agents_reader.at_end():
-        raise ValueError("agents column has trailing bytes")
-
-    reader = ByteReader(ids_payload)
-    run_count = reader.read_uvarint()
-    ids: list[EventId] = []
-    event = 0
-    for _ in range(run_count):
-        agent_idx = reader.read_uvarint()
-        if agent_idx >= len(agents):
-            raise ValueError("ids column references an unknown agent")
-        agent = agents[agent_idx]
-        seq = reader.read_uvarint()
-        remaining = reader.read_uvarint()
-        while remaining > 0:
-            if event >= len(lengths):
-                raise ValueError("ids column does not match event count")
-            length = lengths[event]
-            if length > remaining:
-                raise ValueError("id run does not align with event boundaries")
-            ids.append(EventId(agent, seq))
-            seq += length
-            remaining -= length
-            event += 1
-    if event != len(lengths):
-        raise ValueError("ids column does not match event count")
-    return ids
-
-
-def _graph_to_remote_events(graph: EventGraph) -> "list[RemoteEvent]":
-    from ..core.oplog import RemoteEvent
-
+def graph_to_remote_events(graph: EventGraph) -> list[RemoteEvent]:
+    """A decoded event graph as portable events (id-based parents)."""
     return [
         RemoteEvent(
             id=event.id,
-            parents=tuple(
-                graph.dependency_id(parent) for parent in event.parents
-            ),
+            parents=tuple(graph.dependency_id(parent) for parent in event.parents),
             op=event.op,
         )
         for event in graph.events()

@@ -1,4 +1,5 @@
-"""Columnar event-graph file format (paper §3.8).
+"""Columnar event-graph file format (paper §3.8): the legacy v2 layout and
+the column codecs it shares with the v3 container.
 
 The event graph is stored in column-oriented form, exploiting how people type:
 the graph itself is run-length encoded (one event per run of consecutive
@@ -13,23 +14,25 @@ Columns (each length-prefixed in the file, after a small header):
     One ``(kind, start_position, length)`` row per run event.
 ``content``
     The UTF-8 concatenation of all inserted characters, in event order
-    (optionally LZ-compressed, and optionally restricted to characters that
-    were never deleted — the "pruned" mode of Figure 12).
+    (optionally restricted to characters that were never deleted — the
+    "pruned" mode of Figure 12; see :func:`kept_spans`).
 ``parents``
     Exceptions to the default "parent = previous event" rule, as
     ``(event_index, parent_count, parent_back_references...)``.
 ``agents`` / ``ids``
     The agent name table and runs of character ids; one id run can span many
     consecutive events by the same agent (the decoder slices it back into
-    per-event start ids using the ops column's lengths).
+    per-event start ids using the ops column's lengths).  v2 stores the two
+    back to back as one column; v3 stores them as two.
 ``snapshot`` (optional)
     A cached copy of the final document text so documents can be loaded
     without replaying the graph (§3.8, "Replicas can optionally also store a
     copy of the final document state").
 
-The decoder reconstructs an :class:`~repro.core.event_graph.EventGraph` (full
-mode) or the graph structure with deleted characters blanked out (pruned
-mode), and the cached snapshot when present.
+Both formats decode through one :func:`build_graph`, which reconstructs an
+:class:`~repro.core.event_graph.EventGraph` (full mode) or the graph
+structure with deleted characters blanked out (pruned mode), and rejects
+columns that disagree with each other.
 
 Run boundaries are a local encoding detail (split-on-ingest interop), and the
 format is carving-neutral by construction: a run split in two costs one extra
@@ -44,21 +47,30 @@ carved the same history differently is handled by
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..core.event_graph import EventGraph
 from ..core.ids import EventId, OpKind, delete_op, insert_op
-from . import compression
+from ..core.records import CrdtRecord
+from ..core.walker import EgWalker
 from .varint import ByteReader, ByteWriter
 
-__all__ = ["EncodeOptions", "DecodedFile", "encode_event_graph", "decode_event_graph"]
+__all__ = [
+    "EncodeOptions",
+    "DecodedFile",
+    "build_graph",
+    "decode_event_graph",
+    "encode_event_graph",
+    "kept_spans",
+]
 
 _MAGIC = b"EGWK"
 #: Version 2: run-length encoded rows (one per run event).  Version 1 stored
 #: one row per character and is no longer produced or accepted.
 _FORMAT_VERSION = 2
 
-_FLAG_COMPRESS_CONTENT = 1
+#: Flag 1 (LZ-compressed content) is retired; the reader rejects it.
 _FLAG_PRUNED = 2
 _FLAG_SNAPSHOT = 4
 
@@ -71,20 +83,15 @@ class EncodeOptions:
     """Options controlling the on-disk representation.
 
     Attributes:
-        compress_content: LZ-compress the inserted-text column (the paper's
-            LZ4 option; disabled by default to mirror the like-for-like file
-            size comparison of §4.5).
         prune_deleted_content: omit the text of characters that were deleted
             (what Yjs does); the graph structure is kept, so merging still
             works, but old versions can no longer be reconstructed verbatim.
         include_snapshot: store the final document text so loading does not
             require a replay.
         final_text: the final document text (required when
-            ``include_snapshot`` is set, and used to decide which characters
-            survive in pruned mode when provided).
+            ``include_snapshot`` is set).
     """
 
-    compress_content: bool = False
     prune_deleted_content: bool = False
     include_snapshot: bool = False
     final_text: str | None = None
@@ -108,17 +115,12 @@ def encode_event_graph(graph: EventGraph, options: EncodeOptions | None = None) 
     if options.include_snapshot and options.final_text is None:
         raise ValueError("include_snapshot requires final_text")
 
-    ops_col = _encode_ops_column(graph)
-    content_col = _encode_content_column(graph, options)
-    parents_col = _encode_parents_column(graph)
-    ids_col = _encode_ids_column(graph)
+    agents_col, ids_col = _encode_agent_and_id_columns(graph)
     snapshot_col = b""
     if options.include_snapshot:
         snapshot_col = (options.final_text or "").encode("utf-8")
 
     flags = 0
-    if options.compress_content:
-        flags |= _FLAG_COMPRESS_CONTENT
     if options.prune_deleted_content:
         flags |= _FLAG_PRUNED
     if options.include_snapshot:
@@ -129,7 +131,13 @@ def encode_event_graph(graph: EventGraph, options: EncodeOptions | None = None) 
     writer.write_uvarint(_FORMAT_VERSION)
     writer.write_uvarint(flags)
     writer.write_uvarint(len(graph))
-    for column in (ops_col, content_col, parents_col, ids_col, snapshot_col):
+    for column in (
+        _encode_ops_column(graph),
+        _encode_content_column(graph, options.prune_deleted_content),
+        _encode_parents_column(graph),
+        agents_col + ids_col,
+        snapshot_col,
+    ):
         writer.write_length_prefixed(column)
     return writer.getvalue()
 
@@ -145,48 +153,60 @@ def _encode_ops_column(graph: EventGraph) -> bytes:
     return writer.getvalue()
 
 
-def _encode_content_column(graph: EventGraph, options: EncodeOptions) -> bytes:
-    survived: dict[int, list[bool]] | None = None
-    if options.prune_deleted_content:
-        survived = _surviving_insertions(graph)
+def _encode_content_column(graph: EventGraph, pruned: bool) -> bytes:
+    """Inserted text in event order; only the kept spans when ``pruned``."""
     parts: list[str] = []
+    if not pruned:
+        parts.extend(e.op.content for e in graph.events() if e.op.is_insert)
+    else:
+        for event, spans in zip(graph.events(), kept_spans(graph)):
+            content = event.op.content
+            parts.extend(content[offset : offset + length] for offset, length in spans)
+    return "".join(parts).encode("utf-8")
+
+
+def kept_spans(graph: EventGraph) -> list[list[tuple[int, int]]]:
+    """Per event, the ``(offset, length)`` spans of its inserted characters
+    that no event ever deletes (an empty list for deletions).
+
+    One non-clearing walker replay leaves every inserted character in the
+    internal state, with ``ever_deleted`` set on the runs some event deleted;
+    subtracting those id runs from each insertion's id span costs
+    O(runs · log runs), however the history is carved.
+    """
+    state = EgWalker(graph).transform(clearing=False, emit_only=set()).state
+    deleted: dict[str, list[tuple[int, int]]] = {}
+    for record in state.iter_records():
+        if isinstance(record, CrdtRecord) and record.ever_deleted:
+            deleted.setdefault(record.id.agent, []).append(
+                (record.id.seq, record.end_seq)
+            )
+    for runs in deleted.values():
+        runs.sort()
+
+    kept: list[list[tuple[int, int]]] = []
     for event in graph.events():
+        spans: list[tuple[int, int]] = []
+        kept.append(spans)
         if not event.op.is_insert:
             continue
-        if survived is None:
-            parts.append(event.op.content)
-            continue
-        mask = survived.get(event.index)
-        if mask is None:
-            continue
-        parts.append("".join(c for c, keep in zip(event.op.content, mask) if keep))
-    raw = "".join(parts).encode("utf-8")
-    if options.compress_content:
-        raw = compression.compress(raw)
-    return raw
-
-
-def _surviving_insertions(graph: EventGraph) -> dict[int, list[bool]]:
-    """Per-character survival masks for every insertion event.
-
-    ``mask[k]`` is True iff the ``k``-th character of the run was never
-    deleted.  Deleted characters are found by replaying the graph once with
-    the walker's conversion machinery (cheap relative to encoding, and exact).
-    """
-    from ..crdt.converter import event_graph_to_crdt_ops
-    from ..crdt.list_crdt import CrdtDeleteOp
-
-    deleted_ids: set[EventId] = set()
-    for op in event_graph_to_crdt_ops(graph):
-        if isinstance(op, CrdtDeleteOp):
-            deleted_ids.add(op.target)
-    survived: dict[int, list[bool]] = {}
-    for event in graph.events():
-        if event.op.is_insert:
-            survived[event.index] = [
-                event.id_at(k) not in deleted_ids for k in range(event.op.length)
-            ]
-    return survived
+        start = cursor = event.id.seq
+        end = start + event.op.length
+        runs = deleted.get(event.id.agent, [])
+        # Deleted runs are disjoint, so sorted by start they are sorted by end
+        # too: begin at the last run starting at or before ``start``.
+        i = bisect_right(runs, (start, start))
+        if i and runs[i - 1][1] > start:
+            i -= 1
+        while i < len(runs) and runs[i][0] < end:
+            run_start, run_end = runs[i]
+            if run_start > cursor:
+                spans.append((cursor - start, run_start - cursor))
+            cursor = max(cursor, run_end)
+            i += 1
+        if cursor < end:
+            spans.append((cursor - start, end - cursor))
+    return kept
 
 
 def _encode_parents_column(graph: EventGraph) -> bytes:
@@ -212,9 +232,9 @@ def _encode_parents_column(graph: EventGraph) -> bytes:
     return writer.getvalue()
 
 
-def _encode_ids_column(graph: EventGraph) -> bytes:
-    """Runs of (agent, first_seq, char_count), possibly spanning many events."""
-    writer = ByteWriter()
+def _encode_agent_and_id_columns(graph: EventGraph) -> tuple[bytes, bytes]:
+    """The agent name table and the ``(agent_index, first_seq, char_count)``
+    runs (one run can span many consecutive events by the same agent)."""
     runs: list[tuple[str, int, int]] = []
     for event in graph.events():
         agent, seq = event.id
@@ -223,21 +243,23 @@ def _encode_ids_column(graph: EventGraph) -> bytes:
             runs[-1] = (agent, runs[-1][1], runs[-1][2] + length)
         else:
             runs.append((agent, seq, length))
-    agents: list[str] = []
+
     agent_index: dict[str, int] = {}
     for agent, _, _ in runs:
-        if agent not in agent_index:
-            agent_index[agent] = len(agents)
-            agents.append(agent)
-    writer.write_uvarint(len(agents))
-    for agent in agents:
-        writer.write_string(agent)
-    writer.write_uvarint(len(runs))
+        agent_index.setdefault(agent, len(agent_index))
+
+    agents_writer = ByteWriter()
+    agents_writer.write_uvarint(len(agent_index))
+    for agent in agent_index:
+        agents_writer.write_string(agent)
+
+    ids_writer = ByteWriter()
+    ids_writer.write_uvarint(len(runs))
     for agent, start_seq, count in runs:
-        writer.write_uvarint(agent_index[agent])
-        writer.write_uvarint(start_seq)
-        writer.write_uvarint(count)
-    return writer.getvalue()
+        ids_writer.write_uvarint(agent_index[agent])
+        ids_writer.write_uvarint(start_seq)
+        ids_writer.write_uvarint(count)
+    return agents_writer.getvalue(), ids_writer.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -252,60 +274,87 @@ def decode_event_graph(data: bytes) -> DecodedFile:
     if version != _FORMAT_VERSION:
         raise ValueError(f"unsupported format version {version}")
     flags = reader.read_uvarint()
+    if flags & ~(_FLAG_PRUNED | _FLAG_SNAPSHOT):
+        raise ValueError(f"unsupported flags {flags:#x}")
     num_events = reader.read_uvarint()
-    ops_col = reader.read_length_prefixed()
-    content_col = reader.read_length_prefixed()
-    parents_col = reader.read_length_prefixed()
-    ids_col = reader.read_length_prefixed()
-    snapshot_col = reader.read_length_prefixed()
+    ops_col, content_col, parents_col, ids_col, snapshot_col = (
+        reader.read_length_prefixed() for _ in range(5)
+    )
 
     pruned = bool(flags & _FLAG_PRUNED)
-    if flags & _FLAG_COMPRESS_CONTENT:
-        content_col = compression.decompress(content_col)
-    content = content_col.decode("utf-8")
-
     ops = _decode_ops_column(ops_col, num_events)
-    parents = _decode_parents_column(parents_col, num_events)
-    lengths = [length for _, _, length in ops]
-    ids = _decode_ids_column(ids_col, lengths)
-
-    graph = EventGraph()
-    content_pos = 0
-    for index in range(num_events):
-        kind, pos, length = ops[index]
-        if kind is OpKind.INSERT:
-            if pruned:
-                # In pruned mode we cannot know which characters were deleted
-                # without replaying, so deleted characters decode as the
-                # sentinel and surviving ones are filled in afterwards.
-                text = PRUNED_CHAR * length
-            else:
-                text = content[content_pos : content_pos + length]
-                content_pos += length
-            op = insert_op(pos, text)
-        else:
-            op = delete_op(pos, length)
-        graph.add_event(ids[index], parents[index], op, parents_are_indices=True)
-
-    if pruned:
-        _fill_pruned_content(graph, content)
-
+    ids_reader = ByteReader(ids_col)
+    ids = _decode_id_runs(ids_reader, _decode_agents(ids_reader), ops)
+    graph = build_graph(
+        ops,
+        _decode_parents_column(parents_col, num_events),
+        ids,
+        content_col.decode("utf-8"),
+        pruned,
+    )
     snapshot = snapshot_col.decode("utf-8") if flags & _FLAG_SNAPSHOT else None
     return DecodedFile(graph=graph, snapshot=snapshot, pruned=pruned)
 
 
-def _fill_pruned_content(graph: EventGraph, surviving_content: str) -> None:
-    """Assign surviving characters to the insertions that were never deleted."""
-    survived = _surviving_insertions(graph)
-    content_iter = iter(surviving_content)
-    for event in graph.events():
-        if not event.op.is_insert:
+def build_graph(
+    ops: list[tuple[OpKind, int, int]],
+    parents: list[tuple[int, ...]],
+    ids: list[EventId],
+    content: str,
+    pruned: bool,
+) -> EventGraph:
+    """Assemble decoded columns into an :class:`EventGraph`.
+
+    A full file's ``content`` is consumed insertion by insertion.  A pruned
+    file's holds only the characters no event deletes: the graph is built
+    with :data:`PRUNED_CHAR` placeholders, and :func:`kept_spans` then says
+    where the surviving characters go.  Either way ``content`` must be used
+    up exactly; columns that disagree raise :class:`ValueError`.
+    """
+    if not pruned:
+        needed = sum(length for kind, _, length in ops if kind is OpKind.INSERT)
+        if needed != len(content):
+            raise ValueError(
+                f"content column has {len(content)} chars, insertions need {needed}"
+            )
+    graph = EventGraph()
+    content_pos = 0
+    for (kind, pos, length), event_parents, event_id in zip(ops, parents, ids):
+        if kind is not OpKind.INSERT:
+            op = delete_op(pos, length)
+        elif pruned:
+            op = insert_op(pos, PRUNED_CHAR * length)
+        else:
+            op = insert_op(pos, content[content_pos : content_pos + length])
+            content_pos += length
+        graph.add_event(event_id, event_parents, op, parents_are_indices=True)
+    if pruned:
+        _fill_pruned_content(graph, content)
+    return graph
+
+
+def _fill_pruned_content(graph: EventGraph, content: str) -> None:
+    """Write the surviving characters into the placeholder insertions."""
+    per_event = kept_spans(graph)
+    needed = sum(length for spans in per_event for _, length in spans)
+    if needed != len(content):
+        raise ValueError(
+            f"pruned content column has {len(content)} chars, "
+            f"surviving insertions need {needed}"
+        )
+    cursor = 0
+    for event, spans in zip(graph.events(), per_event):
+        if not spans:
             continue
-        mask = survived.get(event.index, [])
-        chars = [
-            next(content_iter, PRUNED_CHAR) if keep else PRUNED_CHAR for keep in mask
-        ]
-        object.__setattr__(event.op, "content", "".join(chars))
+        pieces: list[str] = []
+        done = 0
+        for offset, length in spans:
+            pieces.append(PRUNED_CHAR * (offset - done))
+            pieces.append(content[cursor : cursor + length])
+            cursor += length
+            done = offset + length
+        pieces.append(PRUNED_CHAR * (event.op.length - done))
+        object.__setattr__(event.op, "content", "".join(pieces))
 
 
 def _decode_ops_column(data: bytes, num_events: int) -> list[tuple[OpKind, int, int]]:
@@ -328,34 +377,41 @@ def _decode_parents_column(data: bytes, num_events: int) -> list[tuple[int, ...]
     index = 0
     for _ in range(exception_count):
         index += reader.read_uvarint()
+        if index >= num_events:
+            raise ValueError("parents column references a missing event")
         count = reader.read_uvarint()
         refs = tuple(sorted(index - reader.read_uvarint() for __ in range(count)))
         parents[index] = refs
     return parents
 
 
-def _decode_ids_column(data: bytes, lengths: list[int]) -> list[EventId]:
-    """Slice the id runs back into per-event start ids using event lengths."""
-    reader = ByteReader(data)
-    agent_count = reader.read_uvarint()
-    agents = [reader.read_string() for _ in range(agent_count)]
-    run_count = reader.read_uvarint()
+def _decode_agents(reader: ByteReader) -> list[str]:
+    """The agent name table (v3's agents column, the head of v2's ids)."""
+    return [reader.read_string() for _ in range(reader.read_uvarint())]
+
+
+def _decode_id_runs(
+    reader: ByteReader, agents: list[str], ops: list[tuple[OpKind, int, int]]
+) -> list[EventId]:
+    """Slice the id runs back into per-event start ids using event lengths;
+    the runs must cover the events exactly and end the column."""
     ids: list[EventId] = []
-    event = 0
-    for _ in range(run_count):
-        agent = agents[reader.read_uvarint()]
+    for _ in range(reader.read_uvarint()):
+        agent_idx = reader.read_uvarint()
+        if agent_idx >= len(agents):
+            raise ValueError("ids column references an unknown agent")
+        agent = agents[agent_idx]
         seq = reader.read_uvarint()
         remaining = reader.read_uvarint()
         while remaining > 0:
-            if event >= len(lengths):
+            if len(ids) >= len(ops):
                 raise ValueError("ids column does not match event count")
-            length = lengths[event]
+            length = ops[len(ids)][2]
             if length > remaining:
                 raise ValueError("id run does not align with event boundaries")
             ids.append(EventId(agent, seq))
             seq += length
             remaining -= length
-            event += 1
-    if event != len(lengths):
+    if len(ids) != len(ops) or not reader.at_end():
         raise ValueError("ids column does not match event count")
     return ids

@@ -10,8 +10,10 @@ from repro.history import Version
 from repro.storage import (
     EncodeOptions,
     Snapshot,
+    StorageError,
     compress,
     decode_event_graph,
+    decode_file,
     decode_snapshot,
     decode_svarint,
     decode_uvarint,
@@ -107,6 +109,13 @@ class TestCompression:
         with pytest.raises(ValueError):
             decompress(data[: len(data) // 2] + b"\xff\xff\xff\xff")
 
+    @pytest.mark.parametrize("cut", ["truncated", "trailing"])
+    def test_truncated_or_trailing_stream_rejected(self, cut):
+        data = compress(b"collaborative text editing " * 20)
+        mangled = data[:-1] if cut == "truncated" else data + b"\x00"
+        with pytest.raises(ValueError):
+            decompress(mangled)
+
 
 class TestEventGraphEncoding:
     def _round_trip(self, graph: EventGraph, options: EncodeOptions | None = None) -> EventGraph:
@@ -130,10 +139,33 @@ class TestEventGraphEncoding:
         decoded = self._round_trip(figure4_graph)
         assert EgWalker(decoded).replay_text() == EgWalker(figure4_graph).replay_text()
 
-    def test_compressed_content_round_trip(self, small_sequential_trace):
-        graph = small_sequential_trace.graph
-        decoded = self._round_trip(graph, EncodeOptions(compress_content=True))
-        assert EgWalker(decoded).replay_text() == EgWalker(graph).replay_text()
+    def test_retired_compressed_content_flag_rejected(self, small_sequential_trace):
+        """Flag 1 (LZ-compressed content) is no longer written; a file that
+        sets it is rejected rather than misread."""
+        data = bytearray(encode_event_graph(small_sequential_trace.graph))
+        assert data[5] == 0  # magic (4 bytes), version (1), then the flags
+        data[5] = 1
+        with pytest.raises(StorageError) as info:
+            decode_file(bytes(data))
+        assert info.value.code == "column-decode"
+
+    def test_short_content_column_is_column_decode(self):
+        """An insert whose content column is cut short must not come back
+        truncated (11 chars in, 7 out)."""
+        graph = EventGraph()
+        graph.add_local_event("a", insert_op(0, "hello world"))
+        data = encode_event_graph(graph)
+        reader = ByteReader(data)
+        header = reader.read_bytes(4 + 3)  # magic, version, flags, num_events
+        ops, content = reader.read_length_prefixed(), reader.read_length_prefixed()
+        writer = ByteWriter()
+        writer.write_bytes(header)
+        writer.write_length_prefixed(ops)
+        writer.write_length_prefixed(content[:7])
+        writer.write_bytes(data[len(data) - reader.remaining() :])
+        with pytest.raises(StorageError) as info:
+            decode_file(writer.getvalue())
+        assert info.value.code == "column-decode"
 
     def test_snapshot_column(self, small_sequential_trace):
         graph = small_sequential_trace.graph

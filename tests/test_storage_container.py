@@ -39,6 +39,7 @@ from repro.storage import (
     encode_event_graph,
     encode_event_graph_v3,
 )
+from repro.storage.encoder import kept_spans
 from repro.storage.container import (
     COL_AGENTS,
     COL_CONTENT,
@@ -47,9 +48,10 @@ from repro.storage.container import (
     COL_PARENTS,
     COLUMN_NAMES,
     MAGIC_V3,
+    _FORMAT_VERSION,
     parse_header,
 )
-from repro.storage.varint import ByteWriter
+from repro.storage.varint import ByteReader, ByteWriter
 from repro.traces.generator import generate_concurrent, generate_sequential
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "storage_v3")
@@ -207,7 +209,7 @@ def _emit(header, entries) -> bytes:
     staged table defect is the *only* thing a decoder can trip on)."""
     writer = ByteWriter()
     writer.write_bytes(MAGIC_V3)
-    writer.write_uvarint(3)
+    writer.write_uvarint(_FORMAT_VERSION)
     writer.write_uvarint(header.flags)
     writer.write_uvarint(header.num_events)
     writer.write_uvarint(len(entries))
@@ -586,12 +588,14 @@ def test_missing_required_column(column_id):
 
 def test_unsupported_version_rejected():
     data = _battery_file()
-    # byte 4 is the version varint (3 encodes as one byte)
-    assert data[4] == 3
-    bumped = data[:4] + b"\x07" + data[5:]
-    with pytest.raises(StorageError) as info:
-        decode_event_graph_v3(bumped)
-    assert info.value.code == "unsupported-version"
+    # byte 4 is the version varint (one byte for small versions); 3 is the
+    # retired LZ77-block version, 7 one from the future
+    assert data[4] == _FORMAT_VERSION
+    for version in (3, 7):
+        bumped = data[:4] + bytes([version]) + data[5:]
+        with pytest.raises(StorageError) as info:
+            decode_event_graph_v3(bumped)
+        assert info.value.code == "unsupported-version"
 
 
 def test_inconsistent_ids_column_is_column_decode():
@@ -611,6 +615,180 @@ def test_inconsistent_ids_column_is_column_decode():
     with pytest.raises(StorageError) as info:
         decode_event_graph_v3(_emit(header, entries))
     assert info.value.code == "column-decode"
+
+
+def _with_v3_payload(data: bytes, column_id: int, mutate) -> bytes:
+    """An uncompressed v3 file with one column payload rewritten (CRC and
+    lengths re-signed, so only the payload's content is inconsistent)."""
+    header, entries = _entries_of(data)
+    for entry in entries:
+        if entry["column_id"] == column_id:
+            stored = mutate(entry["stored"])
+            entry.update(
+                stored=stored,
+                stored_length=len(stored),
+                raw_length=len(stored),
+                crc32=zlib.crc32(stored),
+            )
+    _reflow(entries)
+    return _emit(header, entries)
+
+
+def _with_v2_column(data: bytes, index: int, mutate) -> bytes:
+    """A v2 file with its ``index``-th column (ops, content, parents, ids,
+    snapshot) rewritten."""
+    reader = ByteReader(data)
+    writer = ByteWriter()
+    writer.write_bytes(reader.read_bytes(4))
+    for _ in range(3):  # version, flags, num_events
+        writer.write_uvarint(reader.read_uvarint())
+    columns = [reader.read_length_prefixed() for _ in range(5)]
+    columns[index] = mutate(columns[index])
+    for column in columns:
+        writer.write_length_prefixed(column)
+    return writer.getvalue()
+
+
+def _unknown_agent(ids_column: bytes) -> bytes:
+    # agent table b"\x01\x05alice", run count 1, then the run's agent index
+    assert ids_column[:9] == b"\x01\x05alice\x01\x00"
+    return ids_column[:8] + b"\x09" + ids_column[9:]
+
+
+def _inconsistent_files() -> dict[str, bytes]:
+    graph = _linear_document().oplog.graph
+    v2 = encode_event_graph(graph)
+    pruned = encode_event_graph_v3(
+        graph, ContainerOptions(compress_columns=False, prune_deleted_content=True)
+    )
+    return {
+        "v2-unknown-agent": _with_v2_column(v2, 3, _unknown_agent),
+        "v2-short-content": _with_v2_column(v2, 1, lambda c: c[:-4]),
+        "v2-long-content": _with_v2_column(v2, 1, lambda c: c + b"xyz"),
+        "v3-pruned-short-content": _with_v3_payload(
+            pruned, COL_CONTENT, lambda c: c[:-4]
+        ),
+        "v3-pruned-long-content": _with_v3_payload(
+            pruned, COL_CONTENT, lambda c: c + b"xyz"
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_inconsistent_files()))
+def test_inconsistent_columns_are_column_decode(case):
+    """CRC-valid files whose columns disagree with each other (an ids run
+    naming an agent the table lacks, a content column shorter or longer than
+    the insertions it feeds) fail loudly in either format, never decoding
+    into a padded, truncated or silently wrong graph."""
+    with pytest.raises(StorageError) as info:
+        decode_file(_inconsistent_files()[case])
+    assert info.value.code == "column-decode"
+
+
+# ----------------------------------------------------------------------
+# Pruned mode: run-native survival vs the per-character reference
+# ----------------------------------------------------------------------
+def _reference_masks(graph: EventGraph) -> list[list[bool]]:
+    """Per-character survival from the CRDT conversion's delete targets."""
+    from repro.crdt.converter import event_graph_to_crdt_ops
+    from repro.crdt.list_crdt import CrdtDeleteOp
+
+    deleted = {
+        op.target
+        for op in event_graph_to_crdt_ops(graph)
+        if isinstance(op, CrdtDeleteOp)
+    }
+    return [
+        [event.id_at(k) not in deleted for k in range(event.op.length)]
+        if event.op.is_insert
+        else []
+        for event in graph.events()
+    ]
+
+
+def _span_masks(graph: EventGraph) -> list[list[bool]]:
+    """:func:`kept_spans` expanded to per-character masks (checking that the
+    spans are positive, ordered and disjoint along the way)."""
+    masks = []
+    for event, spans in zip(graph.events(), kept_spans(graph)):
+        mask = [False] * (event.op.length if event.op.is_insert else 0)
+        done = 0
+        for offset, length in spans:
+            assert length > 0 and offset >= done, spans
+            mask[offset : offset + length] = [True] * length
+            done = offset + length
+        assert done <= len(mask), spans
+        masks.append(mask)
+    return masks
+
+
+def _survival_graphs() -> dict[str, EventGraph]:
+    from repro.core.oplog import recarve_events
+    from repro.storage.container import graph_to_remote_events
+    from repro.traces.generator import generate_async
+
+    graphs = fixture_graphs()
+    recarved = Document("reader")
+    recarved.apply_remote_events(
+        recarve_events(
+            graph_to_remote_events(graphs["conc_trace"]),
+            splits=lambda event: range(1, event.op.length, 3),
+        )
+    )
+    graphs["conc_trace-recarved"] = recarved.oplog.graph
+    graphs["sequential"] = generate_sequential(
+        "survive-seq", target_events=200, authors=3, seed=21
+    ).graph
+    graphs["concurrent"] = generate_concurrent(
+        "survive-conc", target_events=200, seed=22
+    ).graph
+    graphs["asynchronous"] = generate_async(
+        "survive-async",
+        target_events=250,
+        seed=23,
+        concurrent_branches=3,
+        events_per_branch=40,
+        authors=4,
+    ).graph
+    return graphs
+
+
+@pytest.mark.parametrize("graph_name", sorted(_survival_graphs()))
+def test_kept_spans_match_per_character_reference(graph_name):
+    graph = _survival_graphs()[graph_name]
+    masks = _span_masks(graph)
+    assert masks == _reference_masks(graph)
+    if graph_name != "figure2":  # the only fixture without a deletion
+        assert not all(all(mask) for mask in masks), "no deleted character"
+
+
+def test_pruned_save_and_load_are_run_native(monkeypatch):
+    """A pruned save plus a full load never falls back to the per-character
+    CRDT conversion or per-character id lookups."""
+    from repro.core.event_graph import Event
+    from repro.crdt import converter
+
+    calls = {"convert": 0, "id_at": 0}
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        converter,
+        "event_graph_to_crdt_ops",
+        counting("convert", converter.event_graph_to_crdt_ops),
+    )
+    monkeypatch.setattr(Event, "id_at", counting("id_at", Event.id_at))
+
+    graph = fixture_graphs()["conc_trace"]
+    data = encode_event_graph_v3(graph, ContainerOptions(prune_deleted_content=True))
+    document = Document.from_bytes(data, "reader")
+    assert document.text == graph_text(graph)
+    assert calls == {"convert": 0, "id_at": 0}
 
 
 # ----------------------------------------------------------------------
