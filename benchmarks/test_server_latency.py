@@ -169,8 +169,9 @@ def test_latency_is_measured_per_delivery(latency_rows):
 
 
 def test_no_buffer_leaks_after_quiesce(latency_rows):
-    """After convergence no causal buffer — the room's inbound, any session's
-    outbound, any client's — may still hold parked events."""
+    """After convergence no causal buffer — the room's one inbound buffer or
+    any client's — may still hold parked events (sessions hold no buffer:
+    they filter only their own uploads out of one shared frame per batch)."""
     for row in latency_rows:
         assert row["leaked_events"] == 0, row
 

@@ -4,9 +4,10 @@ A rule is an AST-level check with a registry name, a one-line description,
 and an optional *path scope*: ``include`` fragments restrict the rule to
 files whose posix path contains one of them (empty means every file), and
 ``exclude`` fragments carve out files where the pattern is the implementation
-itself (e.g. the deprecated shims are defined — and therefore mentioned — in
-``core/document.py``).  Scoping by path *fragment* keeps the match working
-whether the tree is scanned as ``src/``, ``./src`` or an absolute path.
+itself (e.g. ``EventGraph``'s private columns are defined — and therefore
+touched — in ``core/event_graph.py``).  Scoping by path *fragment* keeps the
+match working whether the tree is scanned as ``src/``, ``./src`` or an
+absolute path.
 
 Rules yield :class:`~repro.analysis.findings.Finding` objects from
 :meth:`Rule.check`; the driver applies suppression comments and the baseline

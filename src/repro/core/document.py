@@ -24,8 +24,8 @@ ids), which is the stable handle — it survives sender-side run coalescing
 extending the frontier run in place, interop splits, storage round trips and
 transfer to other replicas.  Local-index tuples still exist internally
 (:attr:`Document.local_version`) but silently go stale under in-place run
-extension; the historical index-based entry points are kept as thin
-deprecated shims.
+extension; :meth:`Document.text_at` still accepts one, with a
+``DeprecationWarning``.
 """
 
 from __future__ import annotations
@@ -143,21 +143,6 @@ class Document:
         """
         return self.oplog.local_version
 
-    def remote_version(self) -> tuple[EventId, ...]:
-        """Deprecated: use :meth:`version` (its ``.ids`` are these ids).
-
-        Forwards to the :class:`~repro.history.Version` handle so the shim
-        can never drift from the canonical API: the returned ids are exactly
-        ``Document.version().ids`` (sorted, deduplicated).
-        """
-        warnings.warn(
-            "Document.remote_version() is deprecated; use Document.version() "
-            "(a repro.history.Version; its .ids field carries the event ids)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.version().ids
-
     # ------------------------------------------------------------------
     # Local editing
     # ------------------------------------------------------------------
@@ -264,30 +249,6 @@ class Document:
         right after typing it.  O(events).
         """
         return self.history.versions()
-
-    def text_at_remote(self, remote_version: Sequence[EventId]) -> str:
-        """Deprecated: wrap the ids in a :class:`repro.history.Version` and
-        call :meth:`text_at`."""
-        from ..history import Version
-
-        warnings.warn(
-            "Document.text_at_remote is deprecated; use "
-            "Document.text_at(Version(ids)) — or save Document.version() "
-            "handles in the first place",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.history.text_at(Version(remote_version))
-
-    def history_versions(self) -> list[LocalVersion]:
-        """Deprecated: use :meth:`versions` (stable id-based handles)."""
-        warnings.warn(
-            "Document.history_versions is deprecated; use Document.versions() "
-            "— its Version handles stay valid across in-place run extension",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return [tuple([idx]) for idx in range(len(self.oplog.graph))]
 
     # ------------------------------------------------------------------
     # Introspection

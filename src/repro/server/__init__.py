@@ -10,8 +10,9 @@ batch delivery — into a network service:
 * :mod:`repro.server.wire` — a minimal HTTP/1.1 request reader and an RFC 6455
   WebSocket implementation over asyncio streams (no third-party deps).
 * :mod:`repro.server.session` — per-document rooms and per-connection
-  sessions; every connection owns an outbound :class:`CausalBuffer`, so batch
-  delivery and re-carve-proof dedup work exactly as they do in the simulator.
+  sessions; one inbound :class:`CausalBuffer` per room orders and dedups
+  every upload, each ingested batch becomes one ``delta`` frame shared by
+  every session, and a session filters out only its own client's uploads.
 * :mod:`repro.server.app` — :class:`CollabServer`, the asyncio server that
   speaks WebSockets on the fast path and degrades to HTTP long-polling
   (cursor presence disabled there, like sysreptor's fallback).

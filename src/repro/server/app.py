@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 from typing import Any
 
 from ..faults import FaultInjector, FaultPlan, InjectedCrash
@@ -53,6 +54,8 @@ from .wire import (
 )
 
 __all__ = ["CollabServer"]
+
+_log = logging.getLogger(__name__)
 
 #: Cap on how long one ``/v1/poll`` request may hang (seconds).
 MAX_POLL_WAIT = 30.0
@@ -457,24 +460,31 @@ class CollabServer:
                 await ws.close()
         except (ConnectionError, asyncio.CancelledError):
             raise
-        except Exception:  # pragma: no cover - defensive; pump must not spin
-            pass
+        except Exception:
+            # A dead pump must not leave a connected client that never
+            # receives another frame: count it and close the session and the
+            # socket, so the client's reconnect path takes over.
+            _log.exception("pump for session %s failed", session.id)
+            session.room.stats.pump_errors += 1
+            session.close()
+            await ws.close()
 
     async def _forward_frames(
         self, ws: WebSocketConnection, session: Session, frames: list[dict[str, Any]]
     ) -> None:
         """Send ``frames`` one at a time, requeueing the unsent tail if the
         send fails or is cancelled mid-flush (drain-timeout accounting)."""
+        sent = 0
         try:
-            while frames:
+            for frame in frames:
                 if self.faults is not None:
                     delay = self.faults.outbound_delay(session.agent)
                     if delay:
                         await asyncio.sleep(delay)
-                await ws.send_text(encode_frame(frames[0]))
-                frames.pop(0)
+                await ws.send_text(encode_frame(frame))
+                sent += 1
         except BaseException:
-            session.requeue(frames)
+            session.requeue(frames[sent:])
             raise
 
     # ------------------------------------------------------------------

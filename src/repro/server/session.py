@@ -1,21 +1,22 @@
 """Server-side state: documents as rooms, connections as sessions.
 
 A :class:`DocumentRoom` owns one live server replica
-(:class:`~repro.core.document.Document`) plus an **inbound**
+(:class:`~repro.core.document.Document`) plus the room's one
 :class:`~repro.network.causal_broadcast.CausalBuffer`: every delta a client
-uploads goes through the buffer, which re-orders out-of-causal-order arrivals,
-drops duplicates (reconnect replays, however they are re-carved) and hands the
+uploads goes through it, which re-orders out-of-causal-order arrivals, drops
+duplicates (reconnect replays, however they are re-carved) and hands the
 document one causally ordered batch per upload — the same amortisation the
 network simulator's relay hub enjoys.
 
-Each connection is a :class:`Session` with an **outbound** ``CausalBuffer`` of
-its own, seeded with the spans the client already has (computed from the
-``hello`` version's ancestor closure).  Everything the room ingests is offered
-to every session; a session's buffer dedups what that client already holds —
-its own uploads, catch-up overlap after a reconnect, re-carved duplicates —
-and frames the rest as ``delta`` messages on the session's queue.  The queue
-is transport-agnostic: the WebSocket handler pumps it over the socket, the
-long-poll handler drains it per poll.
+Because the event graph is the replicated state, that batch is also exactly
+what every connected client is missing, so the room builds **one** ``delta``
+frame per batch and offers it to every :class:`Session`.  A session only
+filters out its own client's uploads (the echo): it queues the shared frame
+untouched when the batch holds none of them, a smaller frame of the rest when
+it holds some.  Catch-up on connect is ``Document.events_since`` of the
+client's ``hello`` version, which already leaves out everything the client
+holds.  The queue is transport-agnostic: the WebSocket handler pumps it over
+the socket, the long-poll handler drains it per poll.
 
 Presence (cursors as id-frontier positions) rides the same queues but is only
 delivered to WebSocket sessions: the long-polling fallback skips cursor
@@ -27,12 +28,14 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable
 
 from ..core.document import Document
 from ..core.ids import EventId
 from ..core.oplog import RemoteEvent
+from ..core.range_map import SpanSet
 from ..faults import InjectedCrash
 from ..history import Version
 from ..network.causal_broadcast import CausalBuffer
@@ -69,10 +72,17 @@ class RoomStats:
     frames_shed: int = 0
     #: Idle long-poll sessions reclaimed by the periodic reaper.
     sessions_reaped: int = 0
+    #: WebSocket pumps that died on an unexpected error (their sessions are
+    #: closed so the client reconnects).
+    pump_errors: int = 0
 
 
 class Session:
     """One client connection (WebSocket or long-polling) to one room.
+
+    Queued frames may be shared with every other session of the room (one
+    ``delta`` frame per ingested batch): consumers encode or read them and
+    must never mutate them.
 
     Args:
         room: the owning :class:`DocumentRoom`.
@@ -105,9 +115,9 @@ class Session:
         #: Frames waiting for this client, in delivery order.
         self._queue: list[dict[str, Any]] = []
         self._wakeup = asyncio.Event()
-        #: Outbound causal buffer: offered every room ingest, delivers (as
-        #: one ``delta`` frame per batch) only what this client is missing.
-        self.outbound = CausalBuffer(deliver_batch=self._queue_delta)
+        #: Per-agent id spans this client uploaded itself: the room's fan-out
+        #: offers them back, and they must not be echoed.
+        self._uploaded: defaultdict[str, SpanSet] = defaultdict(SpanSet)
 
     # ------------------------------------------------------------------
     @property
@@ -115,33 +125,31 @@ class Session:
         return self.transport == "ws"
 
     @property
-    def pending_count(self) -> int:
-        """Events parked in the outbound buffer (0 after quiescence)."""
-        return self.outbound.pending_count
-
-    @property
     def queued_frames(self) -> int:
         return len(self._queue)
 
     # ------------------------------------------------------------------
-    def seed_known(self, spans: Iterable[tuple[EventId, int]]) -> None:
-        """Mark the spans the client already holds (its ``hello`` version's
-        ancestor closure), so catch-up and live traffic dedup against them."""
-        self.outbound.mark_known_spans(spans)
-
     def mark_uploaded(self, events: Iterable[RemoteEvent]) -> None:
-        """Record that the client itself sent ``events``: the room's ingest
-        loop will offer them back, and the buffer must treat the echo as
-        already-known (a clean no-op, whatever the carving)."""
-        self.outbound.mark_known_spans((e.id, e.op.length) for e in events)
+        """Record that the client itself sent ``events``, so the room's
+        fan-out of them is not echoed back (whatever the carving)."""
+        for e in events:
+            self._uploaded[e.id.agent].add(e.id.seq, e.op.length)
 
-    def offer_events(self, events: list[RemoteEvent]) -> None:
-        """Offer newly ingested room events; only the genuinely new ones (for
-        this client) are framed and queued."""
-        self.outbound.receive_batch(events)
+    def _uploaded_here(self, event: RemoteEvent) -> bool:
+        spans = self._uploaded.get(event.id.agent)
+        return spans is not None and spans.covers(event.id.seq, event.op.length)
+
+    def offer_events(self, events: list[RemoteEvent], frame: dict[str, Any]) -> None:
+        """Offer one ingested batch and its shared ``delta`` frame: queue the
+        frame as is unless the batch holds this client's own uploads, which
+        are filtered out (a partially uploaded run is sent whole; the
+        client's graph keeps only the new characters)."""
+        rest = [e for e in events if not self._uploaded_here(e)]
+        if rest:
+            self.queue_frame(frame if len(rest) == len(events) else delta_frame(rest))
 
     def queue_frame(self, frame: dict[str, Any]) -> None:
-        """Queue one non-delta frame (welcome / presence / error / bye)."""
+        """Queue one frame for this client."""
         self._queue.append(frame)
         self.room.stats.frames_queued += 1
         if (
@@ -175,9 +183,6 @@ class Session:
         if frames:
             self._queue[0:0] = frames
             self._wakeup.set()
-
-    def _queue_delta(self, events: list[RemoteEvent]) -> None:
-        self.queue_frame(delta_frame(events))
 
     # ------------------------------------------------------------------
     def drain(self) -> list[dict[str, Any]]:
@@ -265,22 +270,20 @@ class DocumentRoom:
     # Connection lifecycle
     # ------------------------------------------------------------------
     def connect(self, agent: str, transport: str, version_ids: Iterable[EventId]) -> Session:
-        """Open a session: seed its dedup state from the client's version and
-        queue ``welcome`` + catch-up ``delta`` + current presence frames."""
+        """Open a session and queue ``welcome``, a catch-up ``delta`` of
+        everything the client's version lacks, and current presence frames."""
         self.reap_idle_sessions()
         session = Session(
             self, agent, transport, max_queued_frames=self.max_queued_frames
         )
         self.sessions[session.id] = session
         self.stats.sessions_opened += 1
-        version_ids = tuple(version_ids)
-        session.seed_known(self._spans_at(version_ids))
         session.queue_frame(
             welcome_frame(self.name, session.id, self.document.version().ids)
         )
-        catchup = self.document.events_since(version_ids)
+        catchup = self.document.events_since(tuple(version_ids))
         if catchup:
-            session.offer_events(catchup)
+            session.queue_frame(delta_frame(catchup))
         if session.wants_presence:
             for other_agent, cursor in self.presence.items():
                 if other_agent != agent:
@@ -308,18 +311,6 @@ class DocumentRoom:
                 reaped.append(session)
         return reaped
 
-    def _spans_at(self, version_ids: tuple[EventId, ...]) -> list[tuple[EventId, int]]:
-        """The id spans covered by ``Events(version)`` — what a client at that
-        version already holds.  Unknown ids (the client is ahead of us on a
-        branch) contribute nothing; its uploads will fill the gap."""
-        graph = self.document.oplog.graph
-        known = [eid for eid in version_ids if graph.contains_id(eid)]
-        if not known:
-            return []
-        indices = tuple(sorted({graph.dependency_index(eid) for eid in known}))
-        closure = self.document.oplog.causal.ancestors(indices)
-        return [(graph[i].id, graph[i].num_chars) for i in closure]
-
     # ------------------------------------------------------------------
     # Traffic
     # ------------------------------------------------------------------
@@ -336,8 +327,8 @@ class DocumentRoom:
 
     def _ingest(self, events: list[RemoteEvent]) -> None:
         """Inbound-buffer delivery: apply one causally ordered batch to the
-        server replica, WAL-append it, then fan it out to every session's
-        outbound buffer.
+        server replica, WAL-append it, then fan one shared ``delta`` frame of
+        it out to every open session.
 
         The write-ahead append happens *before* any session sees the batch:
         a crash after the append loses only unacknowledged fan-out (clients
@@ -358,9 +349,10 @@ class DocumentRoom:
             if self.on_crash is not None:
                 self.on_crash()
             raise InjectedCrash(f"injected server crash at {crash}")
+        frame = delta_frame(events)
         for session in self.sessions.values():
             if not session.closed:
-                session.offer_events(events)
+                session.offer_events(events, frame)
 
     def receive_presence(self, session: Session, cursor: tuple[EventId, ...]) -> None:
         """Update an agent's cursor and fan it out to WebSocket sessions."""
@@ -384,11 +376,8 @@ class DocumentRoom:
 
     def buffer_pending(self) -> dict[str, int]:
         """Parked-event counts for the leak check: all zero once the room has
-        quiesced (no in-flight uploads, every session caught up)."""
-        pending = {"inbound": self.inbound.pending_count}
-        for session in self.sessions.values():
-            pending[f"outbound:{session.id}"] = session.pending_count
-        return pending
+        quiesced (no in-flight uploads)."""
+        return {"inbound": self.inbound.pending_count}
 
     def summary(self) -> dict[str, Any]:
         summary = {

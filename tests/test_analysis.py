@@ -42,7 +42,6 @@ class TestRegistry:
     def test_battery_is_complete(self):
         names = {rule.name for rule in all_rules()}
         assert {
-            "deprecated-snapshot-api",
             "column-encapsulation",
             "per-char-hot-path",
             "await-state-race",
@@ -54,65 +53,6 @@ class TestRegistry:
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):
             get_rule("no-such-rule")
-
-
-class TestDeprecatedSnapshotApi:
-    RULE = "deprecated-snapshot-api"
-
-    def test_flags_each_shim_attribute(self):
-        src = (
-            "def f(doc):\n"
-            "    a = doc.remote_version\n"
-            "    b = doc.text_at_remote(a)\n"
-            "    c = doc.history_versions()\n"
-        )
-        result = lint(src, rule=self.RULE)
-        assert len(result.findings) == 3
-        assert all(f.rule == self.RULE for f in result.findings)
-
-    def test_flags_version_only_on_oplog_receivers(self):
-        src = (
-            "def f(doc, oplog):\n"
-            "    bad = oplog.version\n"
-            "    also_bad = doc.oplog.version\n"
-            "    fine = doc.version()\n"
-            "    config_fine = config.version\n"
-        )
-        result = lint(src, rule=self.RULE)
-        assert len(result.findings) == 2
-        assert {f.line for f in result.findings} == {2, 3}
-
-    def test_blessed_apis_are_clean(self):
-        src = (
-            "def f(doc):\n"
-            "    v = doc.version()\n"
-            "    doc.text_at(v)\n"
-            "    doc.versions()\n"
-            "    doc.oplog.local_version\n"
-        )
-        assert lint(src, rule=self.RULE).findings == []
-
-    @pytest.mark.parametrize(
-        "home",
-        [
-            "src/repro/core/document.py",
-            "src/repro/core/oplog.py",
-            "tests/test_deprecation_shims.py",
-        ],
-    )
-    def test_shim_homes_are_excluded(self, home):
-        src = "def f(doc):\n    return doc.remote_version\n"
-        assert lint(src, path=home, rule=self.RULE).findings == []
-
-    def test_suppression_comment_silences(self):
-        src = (
-            "def f(doc):\n"
-            "    return doc.remote_version  "
-            "# lint: disable=deprecated-snapshot-api -- parity check\n"
-        )
-        result = lint(src, rule=self.RULE)
-        assert result.findings == []
-        assert len(result.suppressed) == 1
 
 
 class TestColumnEncapsulation:

@@ -1,5 +1,7 @@
 """Tests for the high-level Document API: local editing, merging, history."""
 
+import warnings
+
 import pytest
 
 from repro.core.document import Document
@@ -72,9 +74,6 @@ class TestLocalEditing:
         doc.insert(2, "cd")
         assert doc.local_version == (1,)
         assert len(doc.oplog) == 2
-
-    # (OpLog.version deprecation parity is pinned in
-    # tests/test_deprecation_shims.py::TestOpLogShims.)
 
 
 class TestMerging:
@@ -265,10 +264,8 @@ class TestHistory:
 
 
 class TestDeprecatedIndexShims:
-    # Warning + value parity for all four deprecated snapshot shims lives in
-    # tests/test_deprecation_shims.py (the one file the deprecated-snapshot-api
-    # lint rule allows to touch them).  Only the index-tuple overload of the
-    # canonical text_at is pinned here.
+    # The index-tuple overload of text_at is the one deprecated snapshot
+    # entry point left; it must warn and agree with the Version handle.
     def test_text_at_with_index_tuples_warns_but_works(self):
         doc = Document("alice", coalesce_local_runs=False)
         doc.insert(0, "abc")
@@ -276,6 +273,25 @@ class TestDeprecatedIndexShims:
         doc.insert(3, "def")
         with pytest.warns(DeprecationWarning):
             assert doc.text_at(version_after_abc) == "abc"
+
+    def test_text_at_with_index_tuple_matches_handle(self):
+        doc = Document("solo")
+        doc.insert(0, "one")
+        doc.insert(3, " two")
+        frontier = doc.local_version
+        with pytest.warns(DeprecationWarning):
+            via_index = doc.text_at(tuple(frontier))
+        assert via_index == doc.text_at(doc.version()) == doc.text
+
+    def test_canonical_apis_do_not_warn(self):
+        doc = Document("solo")
+        doc.insert(0, "one")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            doc.versions()
+            doc.text_at(doc.version())
+            doc.text_at(Version(doc.version().ids))
+            _ = doc.oplog.local_version
 
 
 class TestWalkerConfigurationsOnDocuments:
