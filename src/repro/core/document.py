@@ -17,6 +17,10 @@ Design points that mirror the paper:
 * The full event graph is retained, so any historical version can be
   reconstructed (:meth:`Document.text_at`) and traces can be saved to disk
   with :mod:`repro.storage`.
+* Because the graph *is* the replicated state, a relay can hold only the
+  graph: :meth:`Document.ingest_remote_events` adds events without merging,
+  and the first read of the text folds the whole un-merged tail in with one
+  merge.
 
 Versions are **id-based** throughout the public API: :meth:`Document.version`
 returns a frozen :class:`repro.history.Version` (a frontier of character
@@ -93,6 +97,12 @@ class Document:
         """Id-based history browsing: version algebra, ``text_at`` / ``diff``
         / ``checkout`` (see :class:`repro.history.History`).  The methods
         below delegate here."""
+        #: Local index where the events added by
+        #: :meth:`ingest_remote_events` and not yet merged into the rope
+        #: start (``None``: the rope is current).  Always a contiguous suffix
+        #: of the local order; while it is set the document listens to the
+        #: graph, and :meth:`event_split` keeps it exact.
+        self._pending_from: int | None = None
 
     @classmethod
     def from_bytes(cls, data: bytes, agent: str, **options: object) -> "Document":
@@ -116,11 +126,21 @@ class Document:
     # ------------------------------------------------------------------
     @property
     def text(self) -> str:
-        """The current document text."""
+        """The current document text (merges any events ingested by
+        :meth:`ingest_remote_events` first)."""
+        self._catch_up()
         return str(self.rope)
 
     def __len__(self) -> int:
+        self._catch_up()
         return len(self.rope)
+
+    @property
+    def pending_events(self) -> int:
+        """Run events in the graph that are not merged into the text yet
+        (added by :meth:`ingest_remote_events`).  Reading it merges nothing."""
+        start = self._pending_from
+        return 0 if start is None else len(self.oplog.graph) - start
 
     def version(self) -> "Version":
         """The current version as a stable, id-based handle.
@@ -148,6 +168,7 @@ class Document:
     # ------------------------------------------------------------------
     def insert(self, pos: int, content: str) -> None:
         """Insert ``content`` at ``pos`` as a local edit."""
+        self._catch_up()
         if pos < 0 or pos > len(self.rope):
             raise IndexError(f"insert position {pos} out of range (length {len(self.rope)})")
         if not content:
@@ -159,6 +180,7 @@ class Document:
         """Delete ``length`` characters starting at ``pos`` as a local edit."""
         if length <= 0:
             return ""
+        self._catch_up()
         if pos < 0 or pos + length > len(self.rope):
             raise IndexError(
                 f"delete of {length} at {pos} out of range (length {len(self.rope)})"
@@ -175,13 +197,49 @@ class Document:
         Returns the transformed operations that were applied to the local
         text (the incremental update of §2.4).
         """
+        self._catch_up()
         added = self.oplog.merge_from(other.oplog)
-        return self._integrate_new_events(added)
+        return self.engine.integrate(added)
 
     def apply_remote_events(self, events: Iterable[RemoteEvent]) -> list[Operation]:
-        """Ingest a batch of events from the network and update the text."""
+        """Ingest a batch of events from the network and update the text.
+
+        Eager: the text is current when this returns, and the returned
+        operations are exactly the ones this batch applied to it.
+        """
+        self._catch_up()
         added = self.oplog.ingest_events(events)
-        return self._integrate_new_events(added)
+        return self.engine.integrate(added)
+
+    def ingest_remote_events(self, events: Iterable[RemoteEvent]) -> None:
+        """Add a batch of events from the network to the graph only.
+
+        The relay path: the events become part of the replicated state
+        (:meth:`version`, :meth:`events_since`, storage and history see them
+        at once) but the text is not touched.  The un-merged events stay a
+        contiguous tail of the local order, and the next call that needs the
+        text — :attr:`text`, ``len()``, :meth:`insert`, :meth:`delete`,
+        :meth:`merge` or :meth:`apply_remote_events` — folds the whole tail
+        in with one :meth:`MergeEngine.integrate
+        <repro.core.merge_engine.MergeEngine.integrate>` call.  History
+        reads (:meth:`text_at`, :meth:`diff`, :meth:`checkout`) replay from
+        the graph and never need it.
+
+        Args:
+            events: portable events whose parents are already known or
+                earlier in the batch (what a causal buffer delivers), in any
+                run carving; redelivered spans are ignored.
+
+        Complexity: O(batch) graph ingest and no merge work.  The deferred
+        merge costs what one merge of all pending events costs, once, on the
+        first text read: k uploads between reads cost one merge, not k.
+        """
+        if self._pending_from is None:
+            # New events are appended, so the tail starts at the current end
+            # (splits of merged runs during the ingest shift it up).
+            self._pending_from = len(self.oplog.graph)
+            self.oplog.graph.add_listener(self)
+        self.oplog.ingest_events(events)
 
     def events_since(
         self, version: "Version | Sequence[EventId]"
@@ -264,5 +322,20 @@ class Document:
     def _make_walker(self) -> EgWalker:
         return EgWalker(self.oplog.graph, **self._walker_options)
 
-    def _integrate_new_events(self, added: list[int]) -> list[Operation]:
-        return self.engine.integrate(added)
+    def _catch_up(self) -> None:
+        """Merge the tail left by :meth:`ingest_remote_events` (one
+        integrate call; a no-op when the text is current)."""
+        start = self._pending_from
+        if start is not None:
+            self._pending_from = None
+            self.oplog.graph.remove_listener(self)
+            self.engine.integrate(list(range(start, len(self.oplog.graph))))
+
+    def event_split(self, index: int) -> None:
+        """Graph listener hook (registered while a tail is pending): the run
+        at ``index`` was split in place.  A split below the pending tail
+        shifts the tail up by one; a split inside it keeps it contiguous.
+        (Remote ingest never extends a run in place, and local edits catch
+        up first, so no other hook is needed.)"""
+        if self._pending_from is not None and index < self._pending_from:
+            self._pending_from += 1

@@ -13,7 +13,9 @@ fallback.
   fallback trades cursor liveness for transport simplicity, as production
   systems do).
 * ``GET /v1/text`` and ``GET /v1/stats`` — read-only introspection used by
-  the load generator's convergence oracle and the leak checks.
+  the load generator's convergence oracle and the leak checks.  Rooms hold
+  only the event graph between reads, so both materialise the text (one
+  merge of everything ingested since the last read).
 
 A malformed frame is answered with a structured ``error`` frame and the
 connection (or poll exchange) stays usable — a buggy client cannot take down
@@ -34,6 +36,7 @@ from .protocol import (
     bye_frame,
     decode_frame,
     encode_frame,
+    encode_frames_body,
     error_frame,
 )
 from .session import POLL_SESSION_TIMEOUT, DocumentRoom, Session
@@ -521,7 +524,7 @@ class CollabServer:
         room = self.room(frame["doc"])
         session = room.connect(frame["agent"], "poll", frame["version"])
         self._sessions[session.id] = (room, session)
-        return http_response(200, json.dumps({"frames": session.drain()}, default=list))
+        return http_response(200, encode_frames_body(session.drain()))
 
     def _poll_session(
         self, request: HttpRequest, *, allow_closed: bool = False
@@ -598,13 +601,13 @@ class CollabServer:
             frames = session.drain()
             room.disconnect(session)
             self._sessions.pop(session.id, None)
-            return http_response(200, json.dumps({"frames": frames}, default=list))
+            return http_response(200, encode_frames_body(frames))
         try:
             wait = min(float(request.query.get("wait", "25")), MAX_POLL_WAIT)
         except ValueError:
             wait = 0.0
         frames = await session.wait_for_frames(timeout=max(wait, 0.0))
-        return http_response(200, json.dumps({"frames": frames}, default=list))
+        return http_response(200, encode_frames_body(frames))
 
     async def _http_text(self, request: HttpRequest) -> bytes:
         doc = request.query.get("doc", "")

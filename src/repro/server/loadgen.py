@@ -182,7 +182,9 @@ class _ReplicaCore:
         latency_samples: list[float] | None = None,
     ) -> None:
         self.agent = agent
-        self.document = document or Document(agent, **(document_options or {}))
+        if document is None:
+            document = Document(agent, **(document_options or {}))
+        self.document = document
         self.buffer = CausalBuffer(deliver_batch=self._apply_batch)
         # A reconnecting client reuses its document: everything already in
         # the graph is known to the (fresh) buffer.
@@ -633,7 +635,7 @@ async def run_loadgen(
     async def drive(client, index: int) -> None:
         rng = random.Random(seed * 1009 + index)
         for n in range(edits_per_client):
-            text_len = len(client.document.rope)
+            text_len = len(client.document)
             if text_len > 30 and rng.random() < 0.2:
                 pos = rng.randrange(text_len - 4)
                 await client.delete(pos, rng.randint(1, 4))

@@ -24,6 +24,11 @@ Frame types
 ``ack``       server → client (long-poll only): receipt for a ``send`` body.
 ``bye``       either direction: clean session teardown.
 
+Frames fanned out to many sessions (``delta``, ``presence``) are built as
+:class:`Frame`: :func:`encode_frame` serialises such a frame once and hands
+every later caller the same string, so one batch costs one JSON encode however
+many sessions it reaches.
+
 Malformed input raises :class:`ProtocolError`, which carries the machine
 readable ``code`` used in ``error`` frames.  Decoding is strict — unknown
 frame types, missing fields, malformed id pairs and oversized frames are all
@@ -43,7 +48,9 @@ __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
     "ProtocolError",
+    "Frame",
     "encode_frame",
+    "encode_frames_body",
     "decode_frame",
     "encode_event",
     "decode_event",
@@ -90,6 +97,18 @@ class ProtocolError(ValueError):
         super().__init__(reason)
         self.code = code
         self.reason = reason
+
+
+class Frame(dict[str, Any]):
+    """A frame dict that remembers its wire encoding.
+
+    :func:`encode_frame` fills ``wire`` on the first call and returns it on
+    every later one.  Frames are shared between sessions and never mutated
+    after they are built (see :class:`~repro.server.session.Session`), so the
+    cached string stays exact.
+    """
+
+    __slots__ = ("wire",)
 
 
 # ----------------------------------------------------------------------
@@ -190,12 +209,13 @@ def welcome_frame(doc: str, session_id: str, version_ids: Sequence[EventId]) -> 
     }
 
 
-def delta_frame(events: Iterable[RemoteEvent]) -> dict[str, Any]:
-    return {"type": "delta", "events": [encode_event(e) for e in events]}
+def delta_frame(events: Iterable[RemoteEvent]) -> Frame:
+    return Frame({"type": "delta", "events": [encode_event(e) for e in events]})
 
 
-def presence_frame(agent: str, cursor_ids: Iterable[EventId | tuple[str, int]]) -> dict[str, Any]:
-    return {"type": "presence", "agent": agent, "cursor": [[a, s] for a, s in cursor_ids]}
+def presence_frame(agent: str, cursor_ids: Iterable[EventId | tuple[str, int]]) -> Frame:
+    cursor = [[a, s] for a, s in cursor_ids]
+    return Frame({"type": "presence", "agent": agent, "cursor": cursor})
 
 
 def error_frame(code: str, reason: str) -> dict[str, Any]:
@@ -227,8 +247,23 @@ def bye_frame(reason: str | None = None, resume: bool = False) -> dict[str, Any]
 # Codec
 # ----------------------------------------------------------------------
 def encode_frame(frame: dict[str, Any]) -> str:
-    """Serialise one frame for the wire (compact JSON)."""
-    return json.dumps(frame, separators=(",", ":"), ensure_ascii=False)
+    """Serialise one frame for the wire (compact JSON).
+
+    A :class:`Frame` is serialised once; later calls return the cached
+    string.
+    """
+    wire: str | None = getattr(frame, "wire", None)
+    if wire is None:
+        wire = json.dumps(frame, separators=(",", ":"), ensure_ascii=False)
+        if isinstance(frame, Frame):
+            frame.wire = wire
+    return wire
+
+
+def encode_frames_body(frames: Iterable[dict[str, Any]]) -> str:
+    """The long-poll response body ``{"frames": [...]}``, built from each
+    frame's wire encoding (so shared frames are not serialised again)."""
+    return '{"frames":[' + ",".join(encode_frame(f) for f in frames) + "]}"
 
 
 def decode_frame(text: str | bytes) -> dict[str, Any]:

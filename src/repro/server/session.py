@@ -1,12 +1,16 @@
 """Server-side state: documents as rooms, connections as sessions.
 
-A :class:`DocumentRoom` owns one live server replica
+A :class:`DocumentRoom` owns one server replica
 (:class:`~repro.core.document.Document`) plus the room's one
 :class:`~repro.network.causal_broadcast.CausalBuffer`: every delta a client
 uploads goes through it, which re-orders out-of-causal-order arrivals, drops
 duplicates (reconnect replays, however they are re-carved) and hands the
 document one causally ordered batch per upload — the same amortisation the
-network simulator's relay hub enjoys.
+network simulator's relay hub enjoys.  The room adds each batch to the event
+graph only (:meth:`Document.ingest_remote_events
+<repro.core.document.Document.ingest_remote_events>`): catch-up, ``welcome``
+versions, the WAL and fan-out all read the graph, so the text is merged only
+when something reads it — ``/v1/text``, ``/v1/stats`` or a WAL compaction.
 
 Because the event graph is the replicated state, that batch is also exactly
 what every connected client is missing, so the room builds **one** ``delta``
@@ -326,9 +330,9 @@ class DocumentRoom:
         return delivered
 
     def _ingest(self, events: list[RemoteEvent]) -> None:
-        """Inbound-buffer delivery: apply one causally ordered batch to the
-        server replica, WAL-append it, then fan one shared ``delta`` frame of
-        it out to every open session.
+        """Inbound-buffer delivery: add one causally ordered batch to the
+        server replica's event graph (no merge), WAL-append it, then fan one
+        shared ``delta`` frame of it out to every open session.
 
         The write-ahead append happens *before* any session sees the batch:
         a crash after the append loses only unacknowledged fan-out (clients
@@ -337,7 +341,7 @@ class DocumentRoom:
         the batch, ``torn-wal`` truncates its record mid-write, ``after-wal``
         crashes with the record intact.
         """
-        self.document.apply_remote_events(events)
+        self.document.ingest_remote_events(events)
         self.stats.events_ingested += len(events)
         self.stats.chars_ingested += sum(e.op.length for e in events)
         crash = self.faults.crash_due() if self.faults is not None else None
@@ -369,6 +373,8 @@ class DocumentRoom:
     # ------------------------------------------------------------------
     @property
     def text(self) -> str:
+        """The document text; merges every batch ingested since the last
+        read (one merge, however many batches)."""
         return self.document.text
 
     def version(self) -> Version:
@@ -380,13 +386,20 @@ class DocumentRoom:
         return {"inbound": self.inbound.pending_count}
 
     def summary(self) -> dict[str, Any]:
+        """Room counters for ``/v1/stats``.  Reading ``text_len``
+        materialises the text, so ``pending_events`` (run events ingested but
+        not yet merged) is taken first and ``merge`` (the merge engine's
+        counters) includes that merge."""
+        document = self.document
         summary = {
             "doc": self.name,
             "sessions": len(self.sessions),
-            "run_events": len(self.document.oplog.graph),
-            "chars": self.document.oplog.graph.num_chars,
-            "text_len": len(self.document.rope),
-            "version": [[a, s] for a, s in self.document.version().as_tuples()],
+            "run_events": len(document.oplog.graph),
+            "chars": document.oplog.graph.num_chars,
+            "pending_events": document.pending_events,
+            "text_len": len(document),
+            "merge": document.merge_stats.snapshot(),
+            "version": [[a, s] for a, s in document.version().as_tuples()],
             "buffer_pending": self.buffer_pending(),
             "stats": asdict(self.stats),
         }

@@ -52,6 +52,15 @@ order, order labels must remain strictly increasing through every split,
 and — for incremental sessions — the handle-keyed critical-cut tracker
 must agree with a from-scratch :func:`critical_cut_positions` rebuild.
 
+A separate property covers the **deferred (graph-only) ingest** of a relay:
+one replica takes every batch with ``Document.ingest_remote_events`` — no
+merge — while an eager twin takes the same batches with
+``apply_remote_events``.  Peers edit, sync among themselves and pull from the
+relay (``events_since`` may split its runs below the un-merged tail); at
+random points the relay is read — ``text``, a local ``insert``/``delete``,
+``text_at`` of a saved handle, ``checkout`` — and every read must equal the
+per-character oracle and the eager twin.
+
 Everything is seeded and deterministic: session ``i`` uses
 ``random.Random(BASE_SEED + i)``.  The iteration count comes from the
 ``--fuzz-iterations`` pytest option (tests/conftest.py); CI runs a fixed
@@ -368,3 +377,80 @@ def test_larger_sessions_converge():
         run_session(
             BASE_SEED + 20_000 + offset, replicas=4, steps=48, topology="star"
         )
+
+
+def run_deferred_session(seed: int, *, peers: int = 3, steps: int = 40) -> None:
+    """A relay replica ingesting graph-only next to an eager twin."""
+    rng = random.Random(seed)
+    options = {"incremental": seed % 4 != 3, "coalesce_local_runs": seed % 2 == 0}
+    clients = [Document(f"p{i}", **options) for i in range(peers)]
+    # Same agent name: the twin's local edits get the same ids as the relay's.
+    relay = Document("relay", **options)
+    twin = Document("relay", **options)
+    saved: list[tuple[Version, str]] = []
+    context = f"seed {seed}"
+
+    def random_edit(document: Document, length: int) -> None:
+        if length and rng.random() < 0.35:
+            pos = rng.randrange(length)
+            document.delete(pos, min(rng.randint(1, 4), length - pos))
+        else:
+            text = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, 6)))
+            document.insert(rng.randint(0, length), text)
+
+    def check(read: str, got: str, want: str) -> None:
+        assert got == want, f"deferred relay diverged on {read} ({context})"
+
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.3:
+            client = rng.choice(clients)
+            random_edit(client, len(client))
+        elif roll < 0.45:
+            # A peer pulls a random prefix of what it lacks, re-carved, from
+            # another peer or from the relay (whose tail may be un-merged).
+            client = rng.choice(clients)
+            source = rng.choice([c for c in clients if c is not client] + [relay])
+            missing = random_recarve(rng, source.events_since(client.version()))
+            client.apply_remote_events(missing[: rng.randint(0, len(missing))])
+        elif roll < 0.8:
+            # Upload to the relay: graph-only there, eager on the twin.
+            client = rng.choice(clients)
+            batch = random_recarve(rng, client.events_since(relay.version()))
+            batch = batch[: rng.randint(0, len(batch))]
+            relay.ingest_remote_events(batch)
+            twin.apply_remote_events(batch)
+        else:
+            read = rng.choice(["text", "edit", "text_at", "checkout"])
+            if read == "edit":
+                # The twin's length, so the edit itself is the relay's
+                # first read of its pending tail.
+                state = rng.getstate()
+                random_edit(relay, len(twin))
+                rng.setstate(state)
+                random_edit(twin, len(twin))
+                check(read, relay.text, twin.text)
+            elif read == "text":
+                check(read, relay.text, twin.text)
+            elif read == "text_at" and saved:
+                version, text = rng.choice(saved)
+                check(read, relay.text_at(version), text)
+                check(read, text, oracle_text_at(relay, version))
+            elif read == "checkout":
+                version = relay.version()
+                branch = relay.checkout(version, agent="branch")
+                check(read, branch.text, twin.checkout(version, agent="branch").text)
+                check(read, branch.text, oracle_text_at(relay, version))
+            check(read, twin.text, oracle_text(relay))
+            if rng.random() < 0.5:
+                saved.append((relay.version(), twin.text))
+
+    check("final text", relay.text, twin.text)
+    check("final text", relay.text, oracle_text(relay))
+    assert relay.pending_events == 0
+
+
+def test_deferred_ingest_fuzz(fuzz_iterations):
+    """A graph-only relay replica reads exactly like an eager twin."""
+    for i in range(fuzz_iterations):
+        run_deferred_session(BASE_SEED + 30_000 + i)
